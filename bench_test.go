@@ -62,8 +62,9 @@ func benchFixture(b *testing.B) *pipeline.Result {
 }
 
 // BenchmarkT1DatasetPipeline regenerates the §2 dataset table: generate
-// → extract records → filter. Reported metric: drop-rate percent
-// (paper: 35.0%).
+// → extract records → filter → analysis build, the whole of
+// pipeline.FromSynthetic and so the catalog half of a shard daemon's
+// boot. Reported metric: drop-rate percent (paper: 35.0%).
 func BenchmarkT1DatasetPipeline(b *testing.B) {
 	var drop float64
 	for i := 0; i < b.N; i++ {
@@ -533,18 +534,16 @@ func BenchmarkE7Placement(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregationParallel measures the sharded Eq. 3 builder at
-// several worker counts (scalability of the core aggregation).
-func BenchmarkAggregationParallel(b *testing.B) {
+// BenchmarkAnalysisBuild measures the Eq. 1–3 analysis build over the
+// fixture's filtered records: reconstruction on every core, then the
+// sequential tag aggregation.
+func BenchmarkAnalysisBuild(b *testing.B) {
 	res := benchFixture(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(benchName("workers", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tagviews.BuildParallel(res.World, res.Clean.Records, res.Clean.Pop, res.Pyt, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := tagviews.Build(res.World, res.Clean.Records, res.Clean.Pop, res.Pyt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

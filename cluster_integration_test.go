@@ -31,8 +31,23 @@ import (
 type clusterNode struct {
 	srv  *server.Server
 	acc  *ingest.Accumulator
+	comp *ingest.Compactor
 	ts   *httptest.Server
 	stop func()
+}
+
+// foldAll folds every event the nodes have acked into their serving
+// snapshots before returning. Waiting for the accumulators' Pending to
+// reach zero is not enough: Drain releases the count before the
+// rebuilt snapshot is installed, so a read right after it can still see
+// the previous one.
+func foldAll(t *testing.T, nodes ...*clusterNode) {
+	t.Helper()
+	for _, n := range nodes {
+		if _, err := n.comp.FoldNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEvery time.Duration) *clusterNode {
@@ -76,7 +91,7 @@ func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEv
 	done := make(chan struct{})
 	go func() { defer close(done); comp.Run(ctx) }()
 	ts := httptest.NewServer(srv.Handler())
-	n := &clusterNode{srv: srv, acc: acc, ts: ts, stop: func() {
+	n := &clusterNode{srv: srv, acc: acc, comp: comp, ts: ts, stop: func() {
 		cancel()
 		<-done // shutdown fold flushes the tail
 		ts.Close()
@@ -192,19 +207,7 @@ func TestClusterGatewayEndToEnd(t *testing.T) {
 	wg.Wait()
 
 	// Let every shard fold the tail, then verify convergence.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		allFolded := single.acc.Stats().Pending == 0
-		for _, n := range nodes {
-			if n.acc.Stats().Pending > 0 {
-				allFolded = false
-			}
-		}
-		if allFolded || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(foldEvery)
-	}
+	foldAll(t, append([]*clusterNode{single}, nodes...)...)
 
 	// Phase 3: post-stream equivalence, including the ingested tags.
 	for _, tags := range [][]string{

@@ -154,10 +154,13 @@ func run() error {
 		// for, not just the primary — Owns generalizes Owner == index.
 		owns = func(name string) bool { return ring.Owns(name, shardIndex) }
 	}
+	buildStart := time.Now()
 	snap, err := profilestore.BuildOwned(res.Analysis, owns)
 	if err != nil {
 		return err
 	}
+	// Boot phases for the startup log: where a slow boot's time went.
+	phases := fmt.Sprintf("catalog=%s analysis=%s build=%s", ms(res.CatalogTime), ms(res.AnalysisTime), ms(time.Since(buildStart)))
 
 	// Durable state: open the data directory and, when a checkpoint
 	// exists, serve the recovered snapshot instead of the fresh build —
@@ -168,6 +171,7 @@ func run() error {
 	var recMeta persist.CheckpointMeta
 	recovered := false
 	if *dataDir != "" {
+		recoverStart := time.Now()
 		fsync, err := persist.ParseFsync(*fsyncPolicy)
 		if err != nil {
 			return err
@@ -192,6 +196,7 @@ func run() error {
 		} else {
 			logger.Printf("persist: no checkpoint in %s, starting from the fresh build", pdir)
 		}
+		phases += " recover=" + ms(time.Since(recoverStart))
 	}
 
 	store, err := profilestore.NewStore(snap)
@@ -199,11 +204,11 @@ func run() error {
 		return err
 	}
 	if shardCount > 1 {
-		logger.Printf("profile store: shard %d/%d owns %d tags over %d countries (built in %s)",
-			shardIndex, shardCount, snap.NumTags(), snap.World().N(), time.Since(start).Round(time.Millisecond))
+		logger.Printf("profile store: shard %d/%d owns %d tags over %d countries (built in %s: %s)",
+			shardIndex, shardCount, snap.NumTags(), snap.World().N(), ms(time.Since(start)), phases)
 	} else {
-		logger.Printf("profile store: %d tags over %d countries (built in %s)",
-			snap.NumTags(), snap.World().N(), time.Since(start).Round(time.Millisecond))
+		logger.Printf("profile store: %d tags over %d countries (built in %s: %s)",
+			snap.NumTags(), snap.World().N(), ms(time.Since(start)), phases)
 	}
 
 	cfg := server.DefaultConfig()
@@ -387,3 +392,6 @@ func run() error {
 	}
 	return err
 }
+
+// ms renders a boot-phase duration for the startup log.
+func ms(d time.Duration) string { return d.Round(time.Millisecond).String() }

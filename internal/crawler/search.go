@@ -102,6 +102,11 @@ func SearchCrawl(ctx context.Context, client *ytapi.Client, cfg SearchConfig) (*
 
 		entries, err := searchTermAllPages(ctx, client, term, cfg)
 		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				// Cancelled mid-term: not a failed term, and the crawl
+				// must not report success if this was the last one.
+				return res, ctxErr
+			}
 			res.Stats.TermsFailed++
 			continue
 		}

@@ -64,13 +64,19 @@ func TestSearchCrawlValidation(t *testing.T) {
 }
 
 func TestSearchCrawlHonorsContext(t *testing.T) {
-	scfg := ytapi.DefaultServerConfig()
-	scfg.Latency = 5 * time.Millisecond
-	client := testBackend(t, scfg)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := SearchCrawl(ctx, client, DefaultSearchConfig([]string{"music"})); err == nil {
-		t.Fatal("cancelled search crawl returned nil error")
+	for _, c := range []struct{ latency, timeout time.Duration }{
+		{5 * time.Millisecond, 30 * time.Millisecond},   // cancelled deep into the crawl
+		{200 * time.Millisecond, 20 * time.Millisecond}, // cancelled while fetching the only term
+	} {
+		scfg := ytapi.DefaultServerConfig()
+		scfg.Latency = c.latency
+		client := testBackend(t, scfg)
+		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+		_, err := SearchCrawl(ctx, client, DefaultSearchConfig([]string{"music"}))
+		cancel()
+		if err == nil {
+			t.Fatalf("latency %v, timeout %v: cancelled search crawl returned nil error", c.latency, c.timeout)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package pipeline
 
 import (
 	"fmt"
+	"time"
 
 	"viewstags/internal/alexa"
 	"viewstags/internal/dataset"
@@ -21,6 +22,12 @@ type Result struct {
 	Clean    *dataset.Clean
 	Pyt      []float64
 	Analysis *tagviews.Analysis
+
+	// CatalogTime is how long producing the raw records took:
+	// generating the catalog and extracting its records, or loading the
+	// dataset file. AnalysisTime covers the rest: filter, traffic
+	// estimate and analysis build.
+	CatalogTime, AnalysisTime time.Duration
 }
 
 // FromSynthetic generates a catalog of the given size, extracts its
@@ -36,24 +43,30 @@ func FromSynthetic(videos int, seed uint64, alexaCfg alexa.Config) (*Result, err
 // generator — the entry point for ablations that vary world-model knobs
 // (topic drift, mixture weights, pathology rates).
 func FromSyntheticConfig(cfg synth.Config, alexaCfg alexa.Config) (*Result, error) {
+	start := time.Now()
 	cat, err := synth.Generate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: generate: %w", err)
 	}
-	return fromRecords(cat.World, cat, cat.Records(), alexaCfg)
+	// Arguments evaluate left to right: the catalog time includes Records.
+	return fromRecords(cat.World, cat, cat.Records(), time.Since(start), alexaCfg)
 }
 
 // FromFile loads a crawled JSONL dataset and runs the same pipeline over
 // the default world.
 func FromFile(path string, alexaCfg alexa.Config) (*Result, error) {
+	start := time.Now()
 	records, err := dataset.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: load: %w", err)
 	}
-	return fromRecords(geo.DefaultWorld(), nil, records, alexaCfg)
+	return fromRecords(geo.DefaultWorld(), nil, records, time.Since(start), alexaCfg)
 }
 
-func fromRecords(world *geo.World, cat *synth.Catalog, records []dataset.Record, alexaCfg alexa.Config) (*Result, error) {
+// fromRecords runs the analysis half of the pipeline; catalogTime is
+// what producing records took.
+func fromRecords(world *geo.World, cat *synth.Catalog, records []dataset.Record, catalogTime time.Duration, alexaCfg alexa.Config) (*Result, error) {
+	start := time.Now()
 	clean := dataset.Filter(world, records)
 	pyt, err := alexa.Estimate(world, alexaCfg)
 	if err != nil {
@@ -63,5 +76,6 @@ func fromRecords(world *geo.World, cat *synth.Catalog, records []dataset.Record,
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: analysis: %w", err)
 	}
-	return &Result{World: world, Catalog: cat, Clean: clean, Pyt: pyt, Analysis: an}, nil
+	return &Result{World: world, Catalog: cat, Clean: clean, Pyt: pyt, Analysis: an,
+		CatalogTime: catalogTime, AnalysisTime: time.Since(start)}, nil
 }

@@ -22,6 +22,9 @@ func TestFromSynthetic(t *testing.T) {
 	if res.Analysis.N() != res.Clean.Report.Kept {
 		t.Fatal("analysis size != kept records")
 	}
+	if res.CatalogTime <= 0 || res.AnalysisTime <= 0 {
+		t.Fatalf("phase times catalog=%v analysis=%v, want both timed", res.CatalogTime, res.AnalysisTime)
+	}
 }
 
 func TestFromFileRoundTrip(t *testing.T) {

@@ -25,13 +25,13 @@ package profilestore
 import (
 	"fmt"
 	"hash/maphash"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"viewstags/internal/dist"
 	"viewstags/internal/geo"
+	"viewstags/internal/par"
 	"viewstags/internal/tagviews"
 )
 
@@ -121,55 +121,33 @@ func BuildOwned(an *tagviews.Analysis, owns func(name string) bool) (*Snapshot, 
 		s.vecTab[i] = slab[i*nC : (i+1)*nC : (i+1)*nC]
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(names) {
-		workers = len(names)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (len(names) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(names) {
-			hi = len(names)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				p, ok := an.TagProfile(names[i])
-				if !ok {
-					continue // unreachable: names come from the analysis
-				}
-				s.profiles[i] = Profile{
-					ID:         int32(i),
-					Name:       p.Name,
-					Videos:     p.Videos,
-					TotalViews: p.TotalViews,
-					Spread:     p.Spread,
-					TopCountry: p.TopCountry,
-					TopShare:   p.TopShare,
-				}
-				// Normalize straight into the slab — this loop owns
-				// vecTab[i] exclusively, and a transient dist.Normalize
-				// copy per tag would be the build's dominant allocation
-				// at paper-scale vocabularies.
-				vec := s.vecTab[i]
-				if t := dist.Sum(p.Views); t > 0 {
-					for c, x := range p.Views {
-						vec[c] = x / t
-					}
+	par.For(len(names), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p, ok := an.TagProfile(names[i])
+			if !ok {
+				continue // unreachable: names come from the analysis
+			}
+			s.profiles[i] = Profile{
+				ID:         int32(i),
+				Name:       p.Name,
+				Videos:     p.Videos,
+				TotalViews: p.TotalViews,
+				Spread:     p.Spread,
+				TopCountry: p.TopCountry,
+				TopShare:   p.TopShare,
+			}
+			// Normalize straight into the slab — this loop owns
+			// vecTab[i] exclusively, and a transient dist.Normalize
+			// copy per tag would be the build's dominant allocation
+			// at paper-scale vocabularies.
+			vec := s.vecTab[i]
+			if t := dist.Sum(p.Views); t > 0 {
+				for c, x := range p.Views {
+					vec[c] = x / t
 				}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 
 	s.buildIndexes()
 	return s, nil

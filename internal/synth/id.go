@@ -69,10 +69,9 @@ var titlePatterns = []string{
 	"%s vs %s",
 }
 
-// synthTitle builds a title from the video's tags (or category when
-// untagged), mirroring how uploader titles echo their tags.
-func synthTitle(src *xrand.Source, voc *tags.Vocabulary, v *Video) string {
-	pat := titlePatterns[src.Intn(len(titlePatterns))]
+// synthTitle builds a title on pattern pat from the video's tags (or
+// category when untagged), mirroring how uploader titles echo their tags.
+func synthTitle(pat string, voc *tags.Vocabulary, v *Video) string {
 	a, b := v.Category, v.ID[:4]
 	if len(v.TagIDs) >= 2 {
 		a, b = voc.Name(v.TagIDs[0]), voc.Name(v.TagIDs[1])

@@ -15,6 +15,9 @@ package synth
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 
 	"viewstags/internal/geo"
 	"viewstags/internal/mapchart"
@@ -177,7 +180,8 @@ type Catalog struct {
 	Videos []Video
 	Config Config
 
-	idIndex map[string]int // lazy id→index map; see ByID
+	idOnce  sync.Once
+	idIndex map[string]int // id→index map, built by the first ByID
 }
 
 // youTubeCategories2011 is the category list of the GData API circa 2011.
@@ -187,7 +191,10 @@ var youTubeCategories2011 = []string{
 	"Travel", "Nonprofit",
 }
 
-// Generate builds a catalog from cfg. It is deterministic in cfg.Seed.
+// Generate builds a catalog from cfg. It is deterministic in cfg: the
+// same Config yields the same catalog bit for bit, whatever GOMAXPROCS
+// is. Shard daemons, cmd/loadgen and the scenario engine each regenerate
+// the catalog from (videos, seed) and rely on that.
 func Generate(cfg Config) (*Catalog, error) {
 	if cfg.Videos <= 0 {
 		return nil, fmt.Errorf("synth: non-positive catalog size %d", cfg.Videos)
@@ -198,6 +205,11 @@ func Generate(cfg Config) (*Catalog, error) {
 	if cfg.ViewsMin <= 0 || cfg.ViewsMax <= cfg.ViewsMin {
 		return nil, fmt.Errorf("synth: invalid view range [%d, %d]", cfg.ViewsMin, cfg.ViewsMax)
 	}
+	for _, x := range []float64{cfg.WeightPrior, cfg.WeightGravity, cfg.WeightTags, cfg.JitterConcentration} {
+		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("synth: mixture weight or jitter concentration %v is not a finite non-negative number", x)
+		}
+	}
 	wSum := cfg.WeightPrior + cfg.WeightGravity + cfg.WeightTags
 	if wSum <= 0 {
 		return nil, fmt.Errorf("synth: mixture weights sum to %v", wSum)
@@ -206,6 +218,10 @@ func Generate(cfg Config) (*Catalog, error) {
 		if r < 0 || r > 1 {
 			return nil, fmt.Errorf("synth: pathology rate %v outside [0,1]", r)
 		}
+	}
+	if cfg.UntaggedRate > 0 && cfg.WeightPrior+cfg.WeightGravity <= 0 {
+		// An untagged video's geography is prior+gravity alone.
+		return nil, fmt.Errorf("synth: untagged videos need WeightPrior+WeightGravity > 0")
 	}
 	if cfg.TopicDrift < 0 || cfg.TopicDrift > 1 {
 		return nil, fmt.Errorf("synth: TopicDrift %v outside [0,1]", cfg.TopicDrift)
@@ -217,67 +233,211 @@ func Generate(cfg Config) (*Catalog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: vocabulary: %w", err)
 	}
-
 	cat := &Catalog{World: world, Vocab: voc, Config: cfg, Videos: make([]Video, cfg.Videos)}
-	prior := world.Traffic()
-	uploadCat := xrand.NewCategorical(root.Fork("upload"), prior)
-
-	viewSrc := root.Fork("views")
-	tagSrc := root.Fork("tagsets")
-	geoSrc := root.Fork("geo")
-	pathSrc := root.Fork("pathology")
-	titleSrc := root.Fork("title")
-
-	// Language-gravity vectors are shared per country; precompute.
-	gravity := make([][]float64, world.N())
-	for c := 0; c < world.N(); c++ {
-		gravity[c] = gravityVector(world, geo.CountryID(c))
-	}
-
-	alpha := make([]float64, world.N())
-	field := make([]float64, world.N())
-	for i := range cat.Videos {
-		v := &cat.Videos[i]
-		v.Index = i
-		v.ID = VideoID(cfg.Seed, i)
-		v.Upload = geo.CountryID(uploadCat.Draw())
-		v.Category = youTubeCategories2011[titleSrc.Intn(len(youTubeCategories2011))]
-		v.TotalViews = boundedPareto(viewSrc, cfg.ViewsAlpha, cfg.ViewsMin, cfg.ViewsMax)
-
-		// Topic drift: most videos' topical tags anchor at home, but a
-		// fraction anchor elsewhere (the uploader's subject, not their
-		// location). Gravity still follows the upload country.
-		topic := v.Upload
-		if cfg.TopicDrift > 0 && tagSrc.Bernoulli(cfg.TopicDrift) {
-			topic = geo.CountryID(uploadCat.Draw())
-		}
-		if !pathSrc.Bernoulli(cfg.UntaggedRate) {
-			v.TagIDs = voc.SampleTagSet(tagSrc, topic, cfg.TagSet)
-		}
-		v.Title = synthTitle(titleSrc, voc, v)
-
-		// Mixture mean over countries.
-		mean := mixtureMean(cfg, prior, gravity[v.Upload], voc, v.TagIDs, field)
-		// Dirichlet jitter around the mean keeps per-video variety.
-		for c := range alpha {
-			a := cfg.JitterConcentration * mean[c]
-			if a < 1e-4 {
-				a = 1e-4 // keep Gamma well-defined for near-zero components
-			}
-			alpha[c] = a
-		}
-		draw := make([]float64, world.N())
-		geoSrc.Dirichlet(alpha, draw)
-		v.TrueViews = spreadViews(geoSrc, draw, v.TotalViews)
-
-		assignPopVector(pathSrc, cfg, world, v)
-	}
+	newGenerator(cat, root).run()
 	return cat, nil
 }
 
+// generator is one Generate call's state. Each random stream is read by
+// exactly one goroutine, in catalog order; everything computed from the
+// draws is pure and runs on GOMAXPROCS workers. Per video:
+//
+//	draw   (sequential) upload, category, views, topic, tag set, title pattern, pathology draws
+//	mix    (parallel)   mixture mean -> Dirichlet concentration
+//	jitter (sequential) Dirichlet draw from the geo stream
+//	finish (parallel)   id, title, per-country views, popularity vector
+//
+// The stages run as a pipeline over chunks of consecutive videos, so the
+// two sequential stages overlap each other and the parallel ones.
+type generator struct {
+	cfg     Config
+	cat     *Catalog
+	prior   []float64
+	gravity [][]float64 // language-gravity vector per upload country
+
+	uploadCat                                  *xrand.Categorical
+	viewSrc, tagSrc, pathSrc, titleSrc, geoSrc *xrand.Source
+	// spread starts every video's view-spreading stream. It is forked
+	// from the geo stream's seed, so every video replays the same child
+	// stream; changing that would change every catalog.
+	spread xrand.Source
+
+	geo     []float64 // N per video: Dirichlet concentration, then the draw
+	pattern []int     // title pattern index per video
+	popU    []float64 // per video: the uniform that picks the pop-vector state
+}
+
+// chunkVideos is the pipeline's unit of work: large enough to amortize a
+// hand-off, small enough that the stages overlap on small catalogs.
+const chunkVideos = 256
+
+func newGenerator(cat *Catalog, root *xrand.Source) *generator {
+	world, n := cat.World, len(cat.Videos)
+	g := &generator{
+		cfg:       cat.Config,
+		cat:       cat,
+		prior:     world.Traffic(),
+		gravity:   make([][]float64, world.N()),
+		uploadCat: xrand.NewCategorical(root.Fork("upload"), world.Traffic()),
+		viewSrc:   root.Fork("views"),
+		tagSrc:    root.Fork("tagsets"),
+		geoSrc:    root.Fork("geo"),
+		pathSrc:   root.Fork("pathology"),
+		titleSrc:  root.Fork("title"),
+		geo:       make([]float64, n*world.N()),
+		pattern:   make([]int, n),
+		popU:      make([]float64, n),
+	}
+	g.spread = *g.geoSrc.Fork("spread")
+	for c := range g.gravity {
+		g.gravity[c] = gravityVector(world, geo.CountryID(c))
+	}
+	return g
+}
+
+// job is one chunk of work for the parallel stages.
+type job struct {
+	chunk  int
+	finish bool // false: mix
+}
+
+func (g *generator) run() {
+	n := len(g.cat.Videos)
+	chunks := (n + chunkVideos - 1) / chunkVideos
+	bounds := func(k int) (int, int) { return k * chunkVideos, min((k+1)*chunkVideos, n) }
+	mixed := make([]chan struct{}, chunks) // closed once chunk k is mixed
+	for k := range mixed {
+		mixed[k] = make(chan struct{})
+	}
+	// Each chunk is queued twice (mix, then finish): sends never block.
+	jobs := make(chan job, 2*chunks)
+
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), chunks); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := newScratch(g.cat.World.N())
+			for j := range jobs {
+				lo, hi := bounds(j.chunk)
+				for i := lo; i < hi; i++ {
+					if j.finish {
+						g.finish(i, s)
+					} else {
+						g.mix(i, s)
+					}
+				}
+				if !j.finish {
+					close(mixed[j.chunk])
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < chunks; k++ {
+			lo, hi := bounds(k)
+			for i := lo; i < hi; i++ {
+				g.draw(i)
+			}
+			jobs <- job{chunk: k}
+		}
+	}()
+	for k := 0; k < chunks; k++ {
+		<-mixed[k]
+		lo, hi := bounds(k)
+		for i := lo; i < hi; i++ {
+			g.jitter(i)
+		}
+		jobs <- job{chunk: k, finish: true}
+	}
+	close(jobs)
+	wg.Wait()
+}
+
+// scratch is one worker's reusable buffers.
+type scratch struct {
+	field, aff, views []float64
+	src               xrand.Source
+	spread            xrand.Categorical
+}
+
+func newScratch(countries int) *scratch {
+	return &scratch{
+		field: make([]float64, countries),
+		aff:   make([]float64, countries),
+		views: make([]float64, countries),
+	}
+}
+
+// row is video i's slice of the concentration/draw table.
+func (g *generator) row(i int) []float64 {
+	n := len(g.prior)
+	return g.geo[i*n : (i+1)*n]
+}
+
+// draw makes video i's draws from the upload, title, views, tagsets and
+// pathology streams.
+func (g *generator) draw(i int) {
+	cfg, v := &g.cfg, &g.cat.Videos[i]
+	v.Index = i
+	v.Upload = geo.CountryID(g.uploadCat.Draw())
+	v.Category = youTubeCategories2011[g.titleSrc.Intn(len(youTubeCategories2011))]
+	v.TotalViews = boundedPareto(g.viewSrc, cfg.ViewsAlpha, cfg.ViewsMin, cfg.ViewsMax)
+
+	// Topic drift: most videos' topical tags anchor at home, but a
+	// fraction anchor elsewhere (the uploader's subject, not their
+	// location). Gravity still follows the upload country.
+	topic := v.Upload
+	if cfg.TopicDrift > 0 && g.tagSrc.Bernoulli(cfg.TopicDrift) {
+		topic = geo.CountryID(g.uploadCat.Draw())
+	}
+	if !g.pathSrc.Bernoulli(cfg.UntaggedRate) {
+		v.TagIDs = g.cat.Vocab.SampleTagSet(g.tagSrc, topic, cfg.TagSet)
+	}
+	g.pattern[i] = g.titleSrc.Intn(len(titlePatterns))
+	g.popU[i] = g.pathSrc.Float64()
+}
+
+// mix writes video i's Dirichlet concentration: the mixture mean over
+// countries, scaled by the jitter concentration.
+func (g *generator) mix(i int, s *scratch) {
+	v := &g.cat.Videos[i]
+	mean := mixtureMean(g.cfg, g.prior, g.gravity[v.Upload], g.cat.Vocab, v.TagIDs, s.field, s.aff)
+	alpha := g.row(i)
+	for c := range alpha {
+		a := g.cfg.JitterConcentration * mean[c]
+		if a < 1e-4 {
+			a = 1e-4 // keep Gamma well-defined for near-zero components
+		}
+		alpha[c] = a
+	}
+}
+
+// jitter replaces video i's concentration with its Dirichlet draw, which
+// keeps per-video variety around the mixture mean.
+func (g *generator) jitter(i int) {
+	row := g.row(i)
+	g.geoSrc.Dirichlet(row, row)
+}
+
+// finish derives the rest of video i from its draws.
+func (g *generator) finish(i int, s *scratch) {
+	v := &g.cat.Videos[i]
+	v.ID = VideoID(g.cfg.Seed, i)
+	v.Title = synthTitle(titlePatterns[g.pattern[i]], g.cat.Vocab, v)
+	// Spread the total across countries by the drawn field, exactly
+	// (counts sum to the total).
+	s.src = g.spread
+	s.spread.Reset(&s.src, g.row(i))
+	v.TrueViews = s.spread.Multinomial(v.TotalViews)
+	assignPopVector(g.popU[i], g.cfg, g.prior, v, s.views)
+}
+
 // mixtureMean fills field with the normalized mixture of prior, gravity
-// and tag affinities and returns it.
-func mixtureMean(cfg Config, prior, gravity []float64, voc *tags.Vocabulary, tagIDs []int, field []float64) []float64 {
+// and tag affinities and returns it. aff is scratch of the same length.
+func mixtureMean(cfg Config, prior, gravity []float64, voc *tags.Vocabulary, tagIDs []int, field, aff []float64) []float64 {
 	wSum := cfg.WeightPrior + cfg.WeightGravity + cfg.WeightTags
 	wp, wg, wt := cfg.WeightPrior/wSum, cfg.WeightGravity/wSum, cfg.WeightTags/wSum
 	if len(tagIDs) == 0 {
@@ -298,7 +458,7 @@ func mixtureMean(cfg Config, prior, gravity []float64, voc *tags.Vocabulary, tag
 		}
 		for k, tid := range tagIDs {
 			per := wt * (1 / float64(k+1)) / hSum
-			aff := voc.Affinity(tid)
+			voc.AffinityInto(tid, aff)
 			for c := range field {
 				field[c] += per * aff[c]
 			}
@@ -333,18 +493,11 @@ func gravityVector(world *geo.World, upload geo.CountryID) []float64 {
 	return out
 }
 
-// spreadViews distributes total views across countries according to the
-// probability field p, exactly (counts sum to total).
-func spreadViews(src *xrand.Source, p []float64, total int64) []int64 {
-	cat := xrand.NewCategorical(src.Fork("spread"), p)
-	return cat.Multinomial(total)
-}
-
 // assignPopVector computes the Map-Chart popularity vector from the
 // ground-truth views, or injects one of the paper's two popularity-vector
-// pathologies (empty map / corrupt vector).
-func assignPopVector(src *xrand.Source, cfg Config, world *geo.World, v *Video) {
-	u := src.Float64()
+// pathologies (empty map / corrupt vector); u is the video's pathology
+// uniform. views is scratch with one entry per country.
+func assignPopVector(u float64, cfg Config, traffic []float64, v *Video, views []float64) {
 	switch {
 	case u < cfg.PopEmptyRate:
 		v.PopState = PopStateEmpty
@@ -354,14 +507,13 @@ func assignPopVector(src *xrand.Source, cfg Config, world *geo.World, v *Video) 
 		// A corrupt vector is present but useless: the map rendered but
 		// carried no data ("incorrect popularity vector" in §2's terms),
 		// which densifies to all zeros downstream.
-		v.PopVector = make([]int, world.N())
+		v.PopVector = make([]int, len(traffic))
 		return
 	}
-	views := make([]float64, world.N())
 	for c, n := range v.TrueViews {
 		views[c] = float64(n)
 	}
-	intensity, err := mapchart.Intensity(views, world.Traffic())
+	intensity, err := mapchart.Intensity(views, traffic)
 	if err != nil {
 		// Lengths come from the same world; a mismatch is a bug.
 		panic("synth: intensity: " + err.Error())

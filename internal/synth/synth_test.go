@@ -26,24 +26,6 @@ func testCatalog(t *testing.T) *Catalog {
 	return smallCatalog
 }
 
-func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(DefaultConfig(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(DefaultConfig(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Videos {
-		va, vb := a.Videos[i], b.Videos[i]
-		if va.ID != vb.ID || va.TotalViews != vb.TotalViews || va.Upload != vb.Upload ||
-			va.PopState != vb.PopState || len(va.TagIDs) != len(vb.TagIDs) {
-			t.Fatalf("catalog not deterministic at video %d", i)
-		}
-	}
-}
-
 func TestVideoIDShape(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 50000; i++ {
@@ -295,6 +277,12 @@ func TestGenerateConfigErrors(t *testing.T) {
 		"bad view range": bad(func(c *Config) { c.ViewsMax = c.ViewsMin }),
 		"zero weights":   bad(func(c *Config) { c.WeightPrior, c.WeightGravity, c.WeightTags = 0, 0, 0 }),
 		"bad rate":       bad(func(c *Config) { c.UntaggedRate = 1.5 }),
+		// Mixture weights and jitter must be finite and non-negative.
+		"untagged, no prior or gravity": bad(func(c *Config) { c.WeightPrior, c.WeightGravity = 0, 0 }),
+		"NaN weight":                    bad(func(c *Config) { c.WeightTags = math.NaN() }),
+		"negative weight":               bad(func(c *Config) { c.WeightGravity = -0.1 }),
+		"NaN jitter":                    bad(func(c *Config) { c.JitterConcentration = math.NaN() }),
+		"infinite jitter":               bad(func(c *Config) { c.JitterConcentration = math.Inf(1) }),
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -345,6 +333,18 @@ func TestTitlesNonEmpty(t *testing.T) {
 	for i := range cat.Videos {
 		if cat.Videos[i].Title == "" {
 			t.Fatalf("video %d has empty title", i)
+		}
+	}
+}
+
+// BenchmarkGenerate measures catalog synthesis at the serving tier's
+// default size — the bulk of a shard daemon's boot.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultConfig(20000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -101,6 +101,8 @@ func DefaultConfig(size int) Config {
 // sampling indexes.
 type Vocabulary struct {
 	world  *geo.World
+	prior  []float64                  // world.Traffic(), cached for AffinityInto
+	peers  map[string][]geo.CountryID // world.LanguagePeers per language, likewise
 	tags   []Tag
 	byName map[string]int
 	freq   *xrand.Zipf // usage frequency over ranks == indices
@@ -189,6 +191,8 @@ func NewVocabulary(world *geo.World, src *xrand.Source, cfg Config) (*Vocabulary
 
 	v := &Vocabulary{
 		world:  world,
+		prior:  world.Traffic(),
+		peers:  make(map[string][]geo.CountryID),
 		tags:   make([]Tag, 0, cfg.Size),
 		byName: make(map[string]int, cfg.Size),
 	}
@@ -238,6 +242,9 @@ func NewVocabulary(world *geo.World, src *xrand.Source, cfg Config) (*Vocabulary
 		v.append(t)
 	}
 
+	for _, lang := range world.Languages() {
+		v.peers[lang] = world.LanguagePeers(lang)
+	}
 	v.freq = xrand.NewZipf(src.Fork("freq"), cfg.ZipfExponent, len(v.tags))
 	v.buildIndexes(src.Fork("index"))
 	return v, nil
@@ -323,21 +330,25 @@ func (v *Vocabulary) World() *geo.World { return v.world }
 // or spread over the language cluster proportionally to traffic
 // (regional), with the remaining mass following the global traffic prior.
 func (v *Vocabulary) Affinity(i int) []float64 {
+	out := make([]float64, len(v.prior))
+	v.AffinityInto(i, out)
+	return out
+}
+
+// AffinityInto writes tag i's affinity (see Affinity) into out, which
+// must have one entry per country. It does not allocate and is safe for
+// concurrent use.
+func (v *Vocabulary) AffinityInto(i int, out []float64) {
 	t := v.tags[i]
-	prior := v.world.Traffic()
-	out := make([]float64, len(prior))
+	prior := v.prior
 	switch t.Class {
-	case ClassGlobal:
-		copy(out, prior)
-		return out
 	case ClassLocal:
 		for c := range out {
 			out[c] = (1 - t.AnchorMass) * prior[c]
 		}
 		out[t.Anchor] += t.AnchorMass
-		return out
 	case ClassRegional:
-		peers := v.world.LanguagePeers(t.Language)
+		peers := v.peers[t.Language]
 		var clusterTraffic float64
 		for _, p := range peers {
 			clusterTraffic += prior[p]
@@ -352,10 +363,8 @@ func (v *Vocabulary) Affinity(i int) []float64 {
 		} else {
 			out[t.Anchor] += t.AnchorMass
 		}
-		return out
-	default:
+	default: // global
 		copy(out, prior)
-		return out
 	}
 }
 

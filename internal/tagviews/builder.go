@@ -2,8 +2,6 @@ package tagviews
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"viewstags/internal/dataset"
 	"viewstags/internal/geo"
@@ -13,71 +11,60 @@ import (
 // Builder is the streaming form of Build: records are folded in one at a
 // time, partial builders merge associatively, and Finish produces the
 // same Analysis a batch Build would. This is how a paper-scale dataset
-// (691k records) is aggregated across cores or across machines.
+// (691k records) is aggregated across machines.
 type Builder struct {
-	world *geo.World
-	pyt   []float64
-
-	records []dataset.Record
-	fields  [][]float64
-	skipped int
-
-	tagViews  map[string][]float64
-	tagVideos map[string]int
-	tagTotal  map[string]float64
+	a *Analysis
 }
 
 // NewBuilder returns an empty builder over the given world and traffic
 // estimate.
 func NewBuilder(world *geo.World, pyt []float64) (*Builder, error) {
-	if len(pyt) != world.N() {
-		return nil, fmt.Errorf("tagviews: traffic estimate has %d entries for %d countries", len(pyt), world.N())
+	a, err := newAnalysis(world, pyt)
+	if err != nil {
+		return nil, err
 	}
-	return &Builder{
-		world:     world,
-		pyt:       append([]float64(nil), pyt...),
-		tagViews:  make(map[string][]float64),
-		tagVideos: make(map[string]int),
-		tagTotal:  make(map[string]float64),
-	}, nil
+	return &Builder{a: a}, nil
 }
 
 // Add folds one filtered record (with its dense popularity vector) into
 // the builder. Records that fail reconstruction are counted and skipped.
 func (b *Builder) Add(rec dataset.Record, pop []int) {
-	field, err := reconstruct.ViewsFloat(pop, b.pyt, float64(rec.TotalViews))
+	field, err := reconstruct.ViewsFloat(pop, b.a.Pyt, float64(rec.TotalViews))
 	if err != nil {
 		field = nil
 	}
-	b.addWithField(rec, field)
+	b.a.records = append(b.a.records, rec)
+	b.a.fields = append(b.a.fields, field)
+	b.a.fold(&rec, field)
 }
 
 // Merge folds another builder's partial state into b. The other builder
 // must share the same world and traffic estimate; it must not be used
 // afterwards.
 func (b *Builder) Merge(other *Builder) error {
-	if other.world != b.world {
+	a, o := b.a, other.a
+	if o.World != a.World {
 		return fmt.Errorf("tagviews: merging builders over different worlds")
 	}
-	for c := range b.pyt {
-		if b.pyt[c] != other.pyt[c] {
+	for c := range a.Pyt {
+		if a.Pyt[c] != o.Pyt[c] {
 			return fmt.Errorf("tagviews: merging builders with different traffic estimates")
 		}
 	}
-	b.records = append(b.records, other.records...)
-	b.fields = append(b.fields, other.fields...)
-	b.skipped += other.skipped
-	for t, views := range other.tagViews {
-		agg := b.tagViews[t]
+	a.records = append(a.records, o.records...)
+	a.fields = append(a.fields, o.fields...)
+	a.skipped += o.skipped
+	for t, views := range o.tagViews {
+		agg := a.tagViews[t]
 		if agg == nil {
-			b.tagViews[t] = views
+			a.tagViews[t] = views
 		} else {
 			for c, x := range views {
 				agg[c] += x
 			}
 		}
-		b.tagVideos[t] += other.tagVideos[t]
-		b.tagTotal[t] += other.tagTotal[t]
+		a.tagVideos[t] += o.tagVideos[t]
+		a.tagTotal[t] += o.tagTotal[t]
 	}
 	return nil
 }
@@ -85,98 +72,5 @@ func (b *Builder) Merge(other *Builder) error {
 // Finish seals the builder into an Analysis. The builder must not be
 // used afterwards.
 func (b *Builder) Finish() *Analysis {
-	return &Analysis{
-		World:     b.world,
-		Pyt:       b.pyt,
-		records:   b.records,
-		fields:    b.fields,
-		skipped:   b.skipped,
-		tagViews:  b.tagViews,
-		tagVideos: b.tagVideos,
-		tagTotal:  b.tagTotal,
-	}
-}
-
-// BuildParallel is Build with the reconstruction phase fanned out over
-// workers (default: GOMAXPROCS). Reconstruction (Eq. 1–2, per record) is
-// embarrassingly parallel; the tag aggregation (Eq. 3) stays sequential
-// because it is bound by the shared tag map — sharding it and merging
-// per-shard maps costs more than it saves whenever the tag vocabulary is
-// comparable to the record count, which is exactly the paper's regime
-// (705k tags over 691k videos). Results are identical to Build up to
-// floating-point summation order; record order is preserved.
-func BuildParallel(world *geo.World, records []dataset.Record, pop [][]int, pyt []float64, workers int) (*Analysis, error) {
-	if len(records) != len(pop) {
-		return nil, fmt.Errorf("tagviews: %d records but %d pop vectors", len(records), len(pop))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(records) {
-		workers = len(records)
-	}
-	if workers <= 1 {
-		return Build(world, records, pop, pyt)
-	}
-	b, err := NewBuilder(world, pyt)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 1: parallel reconstruction into a positional field table.
-	fields := make([][]float64, len(records))
-	var wg sync.WaitGroup
-	chunk := (len(records) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(records) {
-			hi = len(records)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f, err := reconstruct.ViewsFloat(pop[i], pyt, float64(records[i].TotalViews))
-				if err != nil {
-					continue // nil field marks the skip
-				}
-				fields[i] = f
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	// Phase 2: sequential aggregation over precomputed fields.
-	for i := range records {
-		b.addWithField(records[i], fields[i])
-	}
-	return b.Finish(), nil
-}
-
-// addWithField folds a record whose view field was reconstructed
-// elsewhere (nil = reconstruction failed).
-func (b *Builder) addWithField(rec dataset.Record, field []float64) {
-	b.records = append(b.records, rec)
-	if field == nil {
-		b.fields = append(b.fields, nil)
-		b.skipped++
-		return
-	}
-	b.fields = append(b.fields, field)
-	for _, t := range rec.Tags {
-		agg := b.tagViews[t]
-		if agg == nil {
-			agg = make([]float64, b.world.N())
-			b.tagViews[t] = agg
-		}
-		for c, x := range field {
-			agg[c] += x
-		}
-		b.tagVideos[t]++
-		b.tagTotal[t] += float64(rec.TotalViews)
-	}
+	return b.a
 }

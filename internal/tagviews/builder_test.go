@@ -2,6 +2,7 @@ package tagviews
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"viewstags/internal/alexa"
@@ -10,6 +11,44 @@ import (
 
 func TestBuilderMatchesBatchBuild(t *testing.T) {
 	f := testFixture(t)
+	assertAnalysesIdentical(t, builderAnalysis(t, f), f.an)
+}
+
+// TestBuildMatchesBuilderBitForBit pins that Build's parallel
+// reconstruction changes no bit: its aggregation is sequential in record
+// order, exactly as a Builder fed the same records, whatever GOMAXPROCS.
+func TestBuildMatchesBuilderBitForBit(t *testing.T) {
+	f := testFixture(t)
+	want := builderAnalysis(t, f)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2, 4, 7} {
+		runtime.GOMAXPROCS(procs)
+		got, err := Build(f.cat.World, f.clean.Records, f.clean.Pop, f.pyt)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		assertAnalysesIdentical(t, want, got)
+	}
+}
+
+// TestBuildParallelValidation checks that Build rejects mismatched
+// records and pop vectors before its parallel reconstruction starts.
+func TestBuildParallelValidation(t *testing.T) {
+	f := testFixture(t)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		if _, err := Build(f.cat.World, f.clean.Records[:2], f.clean.Pop[:1], f.pyt); err == nil {
+			t.Fatalf("GOMAXPROCS=%d: mismatched inputs accepted", procs)
+		}
+	}
+}
+
+// builderAnalysis feeds the fixture's records to a Builder one by one.
+func builderAnalysis(t *testing.T, f *pipelineFixture) *Analysis {
+	t.Helper()
 	b, err := NewBuilder(f.cat.World, f.pyt)
 	if err != nil {
 		t.Fatal(err)
@@ -17,51 +56,44 @@ func TestBuilderMatchesBatchBuild(t *testing.T) {
 	for i := range f.clean.Records {
 		b.Add(f.clean.Records[i], f.clean.Pop[i])
 	}
-	got := b.Finish()
-	assertAnalysesEqual(t, f.an, got)
+	return b.Finish()
 }
 
-func TestBuildParallelMatchesSequential(t *testing.T) {
-	f := testFixture(t)
-	for _, workers := range []int{1, 2, 4, 7} {
-		got, err := BuildParallel(f.cat.World, f.clean.Records, f.clean.Pop, f.pyt, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertAnalysesEqual(t, f.an, got)
-	}
-}
-
-func assertAnalysesEqual(t *testing.T, want, got *Analysis) {
+// assertAnalysesIdentical checks every record field and tag aggregate
+// bit for bit.
+func assertAnalysesIdentical(t *testing.T, want, got *Analysis) {
 	t.Helper()
-	if got.N() != want.N() {
-		t.Fatalf("N = %d, want %d", got.N(), want.N())
+	if got.N() != want.N() || got.Skipped() != want.Skipped() || got.NumTags() != want.NumTags() {
+		t.Fatalf("shape (%d records, %d skipped, %d tags), want (%d, %d, %d)",
+			got.N(), got.Skipped(), got.NumTags(), want.N(), want.Skipped(), want.NumTags())
 	}
-	if got.NumTags() != want.NumTags() {
-		t.Fatalf("tags = %d, want %d", got.NumTags(), want.NumTags())
-	}
-	if got.Skipped() != want.Skipped() {
-		t.Fatalf("skipped = %d, want %d", got.Skipped(), want.Skipped())
-	}
-	// Aggregates agree up to FP summation order.
-	for _, name := range []string{"pop", "music", "favela"} {
-		wp, ok1 := want.TagProfile(name)
-		gp, ok2 := got.TagProfile(name)
-		if ok1 != ok2 {
-			t.Fatalf("tag %q presence differs", name)
-		}
-		if !ok1 {
-			continue
-		}
-		if wp.Videos != gp.Videos {
-			t.Fatalf("tag %q videos %d vs %d", name, gp.Videos, wp.Videos)
-		}
-		for c := range wp.Views {
-			if math.Abs(wp.Views[c]-gp.Views[c]) > 1e-6*(1+math.Abs(wp.Views[c])) {
-				t.Fatalf("tag %q country %d: %v vs %v", name, c, gp.Views[c], wp.Views[c])
-			}
+	for i := 0; i < want.N(); i++ {
+		if !sameBits(got.VideoField(i), want.VideoField(i)) {
+			t.Fatalf("record %d field differs", i)
 		}
 	}
+	for _, name := range want.TagNames() {
+		wp, _ := want.TagProfile(name)
+		gp, ok := got.TagProfile(name)
+		if !ok || gp.Videos != wp.Videos || math.Float64bits(gp.TotalViews) != math.Float64bits(wp.TotalViews) ||
+			!sameBits(gp.Views, wp.Views) {
+			t.Fatalf("tag %q aggregate differs", name)
+		}
+	}
+}
+
+// sameBits reports whether two float slices are identical bit for bit
+// (and both nil or both non-nil).
+func sameBits(a, b []float64) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestBuilderCountsSkips(t *testing.T) {
@@ -114,12 +146,5 @@ func TestNewBuilderValidation(t *testing.T) {
 	w := geo.DefaultWorld()
 	if _, err := NewBuilder(w, []float64{1}); err == nil {
 		t.Fatal("short estimate accepted")
-	}
-}
-
-func TestBuildParallelValidation(t *testing.T) {
-	f := testFixture(t)
-	if _, err := BuildParallel(f.cat.World, f.clean.Records[:2], f.clean.Pop[:1], f.pyt, 2); err == nil {
-		t.Fatal("mismatched inputs accepted")
 	}
 }

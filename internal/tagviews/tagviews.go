@@ -15,6 +15,7 @@ import (
 	"viewstags/internal/dataset"
 	"viewstags/internal/dist"
 	"viewstags/internal/geo"
+	"viewstags/internal/par"
 	"viewstags/internal/reconstruct"
 )
 
@@ -37,44 +38,73 @@ type Analysis struct {
 // estimate and aggregates tag view fields (Eq. 3). Records whose
 // popularity vector carries no signal are skipped and counted (the §2
 // filter removes them up front, so normally none are).
+//
+// Reconstruction (Eq. 1–2) is independent per record and runs on every
+// core. Aggregation then folds the fields in record order on one
+// goroutine, so every sum happens in the order a Builder fed the same
+// records would do it, and the result is bit-identical to it. It stays
+// sequential because it is bound by the shared tag map: sharding it and
+// merging per-shard maps costs more than it saves whenever the
+// vocabulary is comparable to the record count, which is the paper's
+// regime (705k tags over 691k videos).
 func Build(world *geo.World, records []dataset.Record, pop [][]int, pyt []float64) (*Analysis, error) {
 	if len(records) != len(pop) {
 		return nil, fmt.Errorf("tagviews: %d records but %d pop vectors", len(records), len(pop))
 	}
+	a, err := newAnalysis(world, pyt)
+	if err != nil {
+		return nil, err
+	}
+	a.records = records
+	a.fields = make([][]float64, len(records))
+	par.For(len(records), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if field, err := reconstruct.ViewsFloat(pop[i], pyt, float64(records[i].TotalViews)); err == nil {
+				a.fields[i] = field
+			}
+		}
+	})
+	for i := range records {
+		a.fold(&records[i], a.fields[i])
+	}
+	return a, nil
+}
+
+// newAnalysis returns an empty analysis over the given world and traffic
+// estimate.
+func newAnalysis(world *geo.World, pyt []float64) (*Analysis, error) {
 	if len(pyt) != world.N() {
 		return nil, fmt.Errorf("tagviews: traffic estimate has %d entries for %d countries", len(pyt), world.N())
 	}
-	a := &Analysis{
+	return &Analysis{
 		World:     world,
 		Pyt:       append([]float64(nil), pyt...),
-		records:   records,
-		fields:    make([][]float64, len(records)),
 		tagViews:  make(map[string][]float64),
 		tagVideos: make(map[string]int),
 		tagTotal:  make(map[string]float64),
+	}, nil
+}
+
+// fold adds one record's reconstructed view field to the tag aggregates
+// (Eq. 3). A nil field marks a record whose reconstruction failed; it is
+// counted as skipped.
+func (a *Analysis) fold(rec *dataset.Record, field []float64) {
+	if field == nil {
+		a.skipped++
+		return
 	}
-	for i := range records {
-		r := &records[i]
-		field, err := reconstruct.ViewsFloat(pop[i], pyt, float64(r.TotalViews))
-		if err != nil {
-			a.skipped++
-			continue
+	for _, t := range rec.Tags {
+		agg := a.tagViews[t]
+		if agg == nil {
+			agg = make([]float64, a.World.N())
+			a.tagViews[t] = agg
 		}
-		a.fields[i] = field
-		for _, t := range r.Tags {
-			agg := a.tagViews[t]
-			if agg == nil {
-				agg = make([]float64, world.N())
-				a.tagViews[t] = agg
-			}
-			for c, x := range field {
-				agg[c] += x
-			}
-			a.tagVideos[t]++
-			a.tagTotal[t] += float64(r.TotalViews)
+		for c, x := range field {
+			agg[c] += x
 		}
+		a.tagVideos[t]++
+		a.tagTotal[t] += float64(rec.TotalViews)
 	}
-	return a, nil
 }
 
 // N returns the number of records in the analysis.

@@ -160,7 +160,8 @@ func (s *Source) Gamma(shape float64) float64 {
 
 // Dirichlet fills out with a draw from a Dirichlet distribution with the
 // given concentration parameters alpha (all > 0). out and alpha must have
-// the same length. The result sums to 1.
+// the same length; out may be alpha itself, drawing in place. The result
+// sums to 1.
 func (s *Source) Dirichlet(alpha []float64, out []float64) {
 	if len(alpha) != len(out) {
 		panic("xrand: Dirichlet length mismatch")

@@ -315,6 +315,8 @@ func TestCategoricalPanics(t *testing.T) {
 		"empty":    {},
 		"negative": {1, -1},
 		"zero-sum": {0, 0},
+		"infinite": {1, math.Inf(1)},
+		"overflow": {math.MaxFloat64, math.MaxFloat64},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

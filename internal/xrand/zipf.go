@@ -80,38 +80,99 @@ func searchCDF(cdf []float64, u float64) int {
 
 // Categorical samples indices in [0, len(weights)) with probability
 // proportional to the (non-negative) weights, via a precomputed CDF.
+//
+// Draws go through a guide table (Chen & Asau's indexed search): guide[k]
+// is the first index whose CDF reaches k/len(guide), so a draw u starts
+// its search at guide[int(u*len(guide))] and scans forward a step or two.
+// len(guide) is a power of two, which makes u*len(guide) and k/len(guide)
+// exact, so the index drawn is exactly the binary search's (searchCDF)
+// for every u: only the cost of a draw depends on the guide table.
 type Categorical struct {
-	cdf []float64
-	src *Source
+	cdf   []float64
+	guide []int32
+	src   *Source
 }
 
 // NewCategorical builds a categorical sampler from weights. It panics if
-// weights is empty, contains a negative entry, or sums to zero.
+// weights is empty, contains a negative, NaN or infinite entry, or sums
+// to zero or to infinity.
 func NewCategorical(src *Source, weights []float64) *Categorical {
+	c := new(Categorical)
+	c.Reset(src, weights)
+	return c
+}
+
+// Reset re-initializes c to sample from weights with src, reusing c's
+// storage, so a hot loop can sample one distribution after another
+// without allocating. It panics on the inputs NewCategorical rejects.
+func (c *Categorical) Reset(src *Source, weights []float64) {
 	if len(weights) == 0 {
 		panic("xrand: NewCategorical with empty weights")
 	}
-	cdf := make([]float64, len(weights))
+	if len(weights) > math.MaxInt32 {
+		panic("xrand: NewCategorical with too many weights")
+	}
+	c.src = src
+	c.cdf = resize(c.cdf, len(weights))
 	var sum float64
 	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("xrand: NewCategorical with negative or NaN weight")
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			panic("xrand: NewCategorical with negative, NaN or infinite weight")
 		}
 		sum += w
-		cdf[i] = sum
+		c.cdf[i] = sum
 	}
 	if sum == 0 {
 		panic("xrand: NewCategorical with zero total weight")
 	}
-	for i := range cdf {
-		cdf[i] /= sum
+	if math.IsInf(sum, 0) {
+		panic("xrand: NewCategorical with infinite total weight")
 	}
-	return &Categorical{cdf: cdf, src: src}
+	for i := range c.cdf {
+		c.cdf[i] /= sum
+	}
+
+	m := 1
+	for m < len(c.cdf) {
+		m <<= 1
+	}
+	c.guide = resize(c.guide, m)
+	last := len(c.cdf) - 1
+	i := 0
+	for k := range c.guide {
+		t := float64(k) / float64(m)
+		for i < last && c.cdf[i] < t {
+			i++
+		}
+		c.guide[k] = int32(i)
+	}
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Draw samples one index.
 func (c *Categorical) Draw() int {
-	return searchCDF(c.cdf, c.src.Float64())
+	return c.index(c.src.Float64())
+}
+
+// index returns searchCDF(c.cdf, u) for u in [0, 1). The CDF is
+// non-decreasing, every index below guide[k] has CDF < k/m <= u, and the
+// scan stops at the first index whose CDF reaches u (or at the last), so
+// it lands exactly where the binary search does.
+func (c *Categorical) index(u float64) int {
+	i := int(c.guide[int(u*float64(len(c.guide)))])
+	last := len(c.cdf) - 1
+	for i < last && c.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // N returns the number of categories.

@@ -90,7 +90,7 @@ func startReplicaNode(t *testing.T, index, count, replicas int, foldEvery time.D
 	done := make(chan struct{})
 	go func() { defer close(done); comp.Run(ctx) }()
 	ts := httptest.NewServer(srv.Handler())
-	return &clusterNode{srv: srv, acc: acc, ts: ts, stop: func() {
+	return &clusterNode{srv: srv, acc: acc, comp: comp, ts: ts, stop: func() {
 		cancel()
 		<-done
 		ts.Close()
@@ -244,20 +244,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	waitFolded := func(ns ...*clusterNode) {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			pending := single.acc.Stats().Pending
-			for _, n := range ns {
-				pending += n.acc.Stats().Pending
-			}
-			if pending == 0 {
-				return
-			}
-			time.Sleep(foldEvery)
-		}
-	}
-	waitFolded(nodes[0], nodes[2])
+	foldAll(t, single, nodes[0], nodes[2])
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rf-a"})
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rf-b", "pop"})
 

@@ -73,20 +73,7 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	waitFolded := func(ns []*clusterNode) {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			pending := single.acc.Stats().Pending
-			for _, n := range ns {
-				pending += n.acc.Stats().Pending
-			}
-			if pending == 0 {
-				return
-			}
-			time.Sleep(foldEvery)
-		}
-	}
-	waitFolded(nodes)
+	foldAll(t, append([]*clusterNode{single}, nodes...)...)
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-a", "pop"})
 
 	// Boot the incoming shard with its grown identity: shard 3 of 4
@@ -201,7 +188,7 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	waitFolded(append(append([]*clusterNode(nil), nodes...), n3))
+	foldAll(t, append(append([]*clusterNode{single}, nodes...), n3)...)
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-d"})
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-e", "zz-rs-a", "favela"})
 }
